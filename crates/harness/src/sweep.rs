@@ -73,7 +73,7 @@ use std::time::{Duration, Instant};
 /// Bumped whenever the cache serialization or the simulator's observable
 /// behaviour changes incompatibly; part of every fingerprint, so stale
 /// caches miss instead of serving wrong results.
-pub const CACHE_SCHEMA: u64 = 2;
+pub const CACHE_SCHEMA: u64 = 3;
 
 /// Per-cell fault handling: deadlines and retries. Part of
 /// [`SweepOpts`]; the defaults (no deadline, no retries) reproduce the
