@@ -2,7 +2,13 @@
 //! Forcing serial stepping (one cycle per step, no idle-time leaps)
 //! must produce *identical* results — same completion cycle, same
 //! `SimStats`, same per-SM and per-warp stall breakdowns — as the
-//! fast-forwarded run, for any kernel, model, system, and crash point.
+//! fast-forwarded run, across models, systems, and crash points.
+//!
+//! The kernel here is small: two blocks of two warps, so no SM ever
+//! holds more ready warps than the issue width and the warp-issue order
+//! cannot differ between the modes. Schedule-order equivalence on real
+//! workloads (many warps per SM, both GPU sizes) is checked by
+//! `crates/harness/tests/step_equiv.rs`.
 
 use proptest::prelude::*;
 use sbrp_core::stall::StallBreakdown;
