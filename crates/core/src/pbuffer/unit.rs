@@ -288,6 +288,14 @@ impl PersistUnit {
         self.buf.is_empty() && self.actr == 0
     }
 
+    /// Whether the next [`PersistUnit::tick`] is known to flush nothing
+    /// and resume no warp (the memoized idle state), so a caller may
+    /// skip it.
+    #[must_use]
+    pub fn is_idle(&self) -> bool {
+        self.idle
+    }
+
     /// Whether `warp` is currently stalled by the unit.
     #[must_use]
     pub fn is_blocked(&self, warp: WarpSlot) -> bool {

@@ -69,6 +69,6 @@ pub mod stats;
 pub mod timeline;
 pub mod trace;
 
-pub use gpu::{Gpu, RunOutcome, RunReport, SimError};
+pub use gpu::{Gpu, RunOutcome, RunReport, SimError, StepCounts};
 pub use sm::SmCounters;
 pub use timeline::Timeline;

@@ -602,3 +602,33 @@ fn correct_device_scope_closes_the_bug() {
         "correct scope: nothing to flag"
     );
 }
+
+#[test]
+fn step_counts_visit_every_sm_each_step_and_skip_quiet_ones() {
+    let kernel = wal_kernel(PM_BASE, PM_BASE + (1 << 20));
+    for cfg in all_configs() {
+        // Two blocks on a four-SM GPU: half the SMs never hold a warp.
+        let run = |serial: bool| {
+            let mut gpu = Gpu::new(&cfg);
+            gpu.set_serial_stepping(serial);
+            gpu.launch(&kernel, LaunchConfig::new(2, 64));
+            let end = gpu.run(LIMIT).expect("completes").cycles;
+            (end, gpu.step_counts())
+        };
+        let (end, c) = run(false);
+        assert_eq!(
+            c.sm_ticks + c.sm_ticks_skipped,
+            c.steps * u64::from(cfg.num_sms)
+        );
+        assert!(c.sm_ticks_skipped > 0, "quiet SMs are skipped: {c:?}");
+        // Every step but the completing one advances the clock: by one
+        // cycle, or by a leap.
+        assert_eq!(c.steps - 1 - c.leaps + c.cycles_leapt, end, "{c:?}");
+
+        let (serial_end, s) = run(true);
+        assert_eq!(serial_end, end);
+        assert_eq!((s.sm_ticks_skipped, s.leaps), (0, 0));
+        assert_eq!(s.steps, end + 1);
+        assert_eq!(s.sm_ticks, s.steps * u64::from(cfg.num_sms));
+    }
+}
