@@ -191,6 +191,17 @@ impl TraceBuilder {
         }
     }
 
+    /// [`PmoGraph::check_crash_cut`] on the trace recorded so far,
+    /// without finishing (or copying) it: the same check, the same
+    /// violation and message.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`PmoViolation`] found.
+    pub fn check_crash_cut(&self, durable: &HashSet<EventId>) -> Result<(), PmoViolation> {
+        crash_cut(&self.events, &self.succ, durable)
+    }
+
     /// Finalizes the trace into an immutable [`PmoGraph`].
     #[must_use]
     pub fn finish(self) -> PmoGraph {
@@ -305,7 +316,6 @@ impl PmoGraph {
         use std::fmt::Write as _;
         let mut out = String::from("digraph pmo {\n  rankdir=TB;\n");
         for (i, e) in self.events.iter().enumerate() {
-            let id = EventId(i as u32);
             match e.kind {
                 EventKind::Persist { addr } => {
                     let _ = writeln!(
@@ -322,7 +332,6 @@ impl PmoGraph {
             for m in &self.succ[i] {
                 let _ = writeln!(out, "  e{i} -> e{};", m.index());
             }
-            let _ = id;
         }
         for bug in &self.scope_bugs {
             let _ = writeln!(
@@ -417,33 +426,43 @@ impl PmoGraph {
     ///
     /// Returns the first [`PmoViolation`] found.
     pub fn check_crash_cut(&self, durable: &HashSet<EventId>) -> Result<(), PmoViolation> {
-        // Forward-propagate "some non-durable persist precedes this node".
-        let mut tainted: Vec<Option<EventId>> = vec![None; self.events.len()];
-        for i in 0..self.events.len() {
-            let id = EventId(i as u32);
-            let mut taint = tainted[i];
-            if self.events[i].is_persist() {
-                if let (Some(w1), true) = (taint, durable.contains(&id)) {
-                    return Err(PmoViolation {
-                        before: w1,
-                        after: id,
-                        message: format!(
-                            "crash state contains persist {id} but not its PMO-predecessor {w1}"
-                        ),
-                    });
-                }
-                if taint.is_none() && !durable.contains(&id) {
-                    taint = Some(id);
-                }
+        crash_cut(&self.events, &self.succ, durable)
+    }
+}
+
+/// The body of both `check_crash_cut`s: forward-propagates "some
+/// non-durable persist precedes this node" over the trace-ordered DAG
+/// and reports the first durable persist so tainted.
+fn crash_cut(
+    events: &[Event],
+    succ: &[Vec<EventId>],
+    durable: &HashSet<EventId>,
+) -> Result<(), PmoViolation> {
+    let mut tainted: Vec<Option<EventId>> = vec![None; events.len()];
+    for (i, ev) in events.iter().enumerate() {
+        let id = EventId(i as u32);
+        let mut taint = tainted[i];
+        if ev.is_persist() {
+            if let (Some(w1), true) = (taint, durable.contains(&id)) {
+                return Err(PmoViolation {
+                    before: w1,
+                    after: id,
+                    message: format!(
+                        "crash state contains persist {id} but not its PMO-predecessor {w1}"
+                    ),
+                });
             }
-            if let Some(w1) = taint {
-                for &m in &self.succ[i] {
-                    tainted[m.index()].get_or_insert(w1);
-                }
+            if taint.is_none() && !durable.contains(&id) {
+                taint = Some(id);
             }
         }
-        Ok(())
+        if let Some(w1) = taint {
+            for &m in &succ[i] {
+                tainted[m.index()].get_or_insert(w1);
+            }
+        }
     }
+    Ok(())
 }
 
 fn merge_max(slot: &mut Option<(u64, EventId)>, incoming: Option<(u64, EventId)>) {

@@ -162,6 +162,27 @@ pub enum Instr {
     Sleep(u32),
 }
 
+impl Instr {
+    /// One past the highest register the instruction names in any
+    /// operand slot, destination or source (0 when it names none).
+    pub(crate) fn reg_bound(&self) -> usize {
+        let highest = match *self {
+            Instr::MovI(d, _) | Instr::Spec(d, _) | Instr::Param(d, _) => d.0,
+            Instr::Mov(d, s) | Instr::BinI(_, d, s, _) => d.0.max(s.0),
+            Instr::Ld(d, a, _, _) | Instr::LdVol(d, a, _, _) | Instr::PAcq(d, a, _) => d.0.max(a.0),
+            Instr::St(a, _, s, _) | Instr::PRel(a, s, _) => a.0.max(s.0),
+            Instr::Bin(_, d, a, b) | Instr::AtomAdd(d, a, b, _) => d.0.max(a.0).max(b.0),
+            Instr::Select(d, c, a, b) => d.0.max(c.0).max(a.0).max(b.0),
+            Instr::OFence
+            | Instr::DFence
+            | Instr::SyncBlock
+            | Instr::EpochBarrier
+            | Instr::Sleep(_) => return 0,
+        };
+        usize::from(highest) + 1
+    }
+}
+
 impl fmt::Display for Instr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

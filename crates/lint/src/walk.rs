@@ -27,9 +27,7 @@
 use crate::diag::{Diagnostic, LintCode};
 use crate::lint::LintConfig;
 use sbrp_core::scope::{Scope, WARP_SIZE};
-use sbrp_isa::{
-    Affine, BinOp, Instr, Kernel, LaunchConfig, Reg, RepThread, Special, Stmt, NUM_REGS,
-};
+use sbrp_isa::{Affine, BinOp, Instr, Kernel, LaunchConfig, Reg, RepThread, Special, Stmt};
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
@@ -490,8 +488,9 @@ struct Walker<'a> {
 pub(crate) fn walk(kernel: &Kernel, cfg: &LintConfig) -> Walk {
     let mut w = Walker::new(cfg.pm_base, kernel.params(), cfg.launch);
     let mut path = Path {
-        // Every register starts as the same unknown value.
-        regs: std::iter::repeat_n(Rc::new(SymVal::default()), NUM_REGS).collect(),
+        // Every register the kernel names starts as the same unknown
+        // value.
+        regs: std::iter::repeat_n(Rc::new(SymVal::default()), kernel.num_regs()).collect(),
         pending: Vec::new(),
         fence_run: None,
     };

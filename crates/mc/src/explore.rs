@@ -22,6 +22,7 @@ use crate::spec::{
 };
 use crate::state::State;
 use sbrp_core::fingerprint::Fingerprint;
+use sbrp_core::formal::PmoGraph;
 use sbrp_harness::sweep::{sweep, CellOutcome, FaultPolicy, SweepCell, SweepOpts};
 use sbrp_isa::BlockIndex;
 use std::collections::{BTreeSet, HashSet, VecDeque};
@@ -98,16 +99,35 @@ impl Acc {
     }
 }
 
+/// The successors of `st`, one per choice in order, each still to be
+/// [`State::apply`]d: every choice but the last gets a copy of `st`, the
+/// last takes `st` itself, so a state with one enabled choice is never
+/// copied.
+fn branches(st: State, choices: Vec<Choice>) -> impl Iterator<Item = (Choice, State)> {
+    let last = choices.len().saturating_sub(1);
+    let mut parent = Some(st);
+    choices.into_iter().enumerate().map(move |(i, choice)| {
+        let next = if i == last {
+            parent.take()
+        } else {
+            parent.clone()
+        };
+        (choice, next.expect("one branch per choice"))
+    })
+}
+
 /// Runs the spec-level checks that apply to a state *as such* (apply-time
 /// checks — crash cuts, dFence completion — live in [`State::apply`]):
 /// invariants in every state, PMO expectations in complete states, and
 /// deadlock where nothing is enabled. `choices_empty` is passed in so
-/// callers that already enumerated choices don't enumerate twice.
+/// callers that already enumerated choices don't enumerate twice, and
+/// `graph` (the finished trace of a complete `st`) so callers that
+/// already built it don't build it twice.
 fn static_checks(
     st: &State,
-    program: &Program,
     spec: &Spec,
     choices_empty: bool,
+    graph: Option<&PmoGraph>,
     out: &mut Vec<Violation>,
 ) {
     for inv in &spec.invariants {
@@ -144,7 +164,13 @@ fn static_checks(
         });
     }
     if st.complete() && !spec.expectations.is_empty() {
-        let graph = st.graph();
+        let built;
+        let graph = if let Some(g) = graph {
+            g
+        } else {
+            built = st.graph();
+            &built
+        };
         for e in &spec.expectations {
             let applies = match e.when {
                 ObsCond::Always => true,
@@ -185,14 +211,16 @@ fn static_checks(
             }
         }
     }
-    let _ = program;
 }
 
 /// Bookkeeping for a newly-discovered state: spec checks, reach targets,
 /// complete-execution counters and evidence.
-fn note_state(st: &State, program: &Program, spec: &Spec, choices_empty: bool, acc: &mut Acc) {
+fn note_state(st: &State, spec: &Spec, choices_empty: bool, acc: &mut Acc) {
     acc.states += 1;
-    static_checks(st, program, spec, choices_empty, &mut acc.violations);
+    // A complete state's trace is finished once, for both the
+    // expectations and the signature.
+    let graph = st.complete().then(|| st.graph());
+    static_checks(st, spec, choices_empty, graph.as_ref(), &mut acc.violations);
     for (i, r) in spec.reach.iter().enumerate() {
         if acc.reached[i].is_none()
             && st.durable_addrs().contains(&r.durable)
@@ -201,13 +229,13 @@ fn note_state(st: &State, program: &Program, spec: &Spec, choices_empty: bool, a
             acc.reached[i] = Some(st.schedule().to_vec());
         }
     }
-    if st.complete() {
+    if let Some(graph) = &graph {
         acc.complete += 1;
         let d = st.warps[0].dfences_fired;
         acc.evidence.min_dfences = acc.evidence.min_dfences.min(d);
         acc.evidence.max_dfences = acc.evidence.max_dfences.max(d);
         acc.signatures.insert(ExecutionSig::from_graph(
-            &st.graph(),
+            graph,
             st.durable_addrs().iter().copied(),
         ));
     }
@@ -226,11 +254,9 @@ fn explore_from(
 ) -> Acc {
     let mut acc = Acc::new(spec);
     let mut visited: HashSet<u64> = HashSet::new();
-    let mut stack = vec![start.clone()];
-    while let Some(st) = stack.pop() {
-        let choices = st.choices(program);
-        for choice in choices {
-            let mut next = st.clone();
+    let mut stack = vec![(start.clone(), start.choices(program))];
+    while let Some((st, choices)) = stack.pop() {
+        for (choice, mut next) in branches(st, choices) {
             next.apply(program, choice, &mut acc.evidence, &mut acc.violations);
             acc.transitions += 1;
             let fp = next.fingerprint(program, bidx);
@@ -238,14 +264,14 @@ fn explore_from(
                 acc.dedup_hits += 1;
                 continue;
             }
-            let empty = next.choices(program).is_empty();
-            note_state(&next, program, spec, empty, &mut acc);
+            let next_choices = next.choices(program);
+            note_state(&next, spec, next_choices.is_empty(), &mut acc);
             assert!(
                 acc.states <= max_states,
                 "mc: exceeded {max_states} states exploring `{}`; raise McOpts::max_states",
                 program.kernel.name(),
             );
-            stack.push(next);
+            stack.push((next, next_choices));
         }
     }
     acc
@@ -305,21 +331,20 @@ pub fn explore(program: &Program, spec: &Spec, opts: &McOpts) -> McReport {
     let bidx = program.kernel.block_index();
     let mut acc = Acc::new(spec);
     let mut visited: HashSet<u64> = HashSet::new();
-    let mut queue: VecDeque<State> = VecDeque::new();
+    let mut queue: VecDeque<(State, Vec<Choice>)> = VecDeque::new();
 
     let init = State::initial(program);
     visited.insert(init.fingerprint(program, &bidx));
-    let empty = init.choices(program).is_empty();
-    note_state(&init, program, spec, empty, &mut acc);
-    queue.push_back(init);
+    let init_choices = init.choices(program);
+    note_state(&init, spec, init_choices.is_empty(), &mut acc);
+    queue.push_back((init, init_choices));
 
     // Serial BFS until the frontier is wide enough to parallelize.
     while queue.len() < FRONTIER_TARGET {
-        let Some(st) = queue.pop_front() else {
+        let Some((st, choices)) = queue.pop_front() else {
             break;
         };
-        for choice in st.choices(program) {
-            let mut next = st.clone();
+        for (choice, mut next) in branches(st, choices) {
             next.apply(program, choice, &mut acc.evidence, &mut acc.violations);
             acc.transitions += 1;
             let fp = next.fingerprint(program, &bidx);
@@ -327,15 +352,15 @@ pub fn explore(program: &Program, spec: &Spec, opts: &McOpts) -> McReport {
                 acc.dedup_hits += 1;
                 continue;
             }
-            let empty = next.choices(program).is_empty();
-            note_state(&next, program, spec, empty, &mut acc);
+            let next_choices = next.choices(program);
+            note_state(&next, spec, next_choices.is_empty(), &mut acc);
             assert!(
                 acc.states <= opts.max_states,
                 "mc: exceeded {} states exploring `{}`; raise McOpts::max_states",
                 opts.max_states,
                 program.kernel.name(),
             );
-            queue.push_back(next);
+            queue.push_back((next, next_choices));
         }
     }
 
@@ -344,7 +369,7 @@ pub fn explore(program: &Program, spec: &Spec, opts: &McOpts) -> McReport {
         let cells: Vec<McCell> = queue
             .into_iter()
             .enumerate()
-            .map(|(idx, start)| {
+            .map(|(idx, (start, _))| {
                 let start_fp = start.fingerprint(program, &bidx);
                 McCell {
                     idx,
@@ -406,27 +431,21 @@ pub fn shrink(
 ) -> Option<Vec<Choice>> {
     let bidx = program.kernel.block_index();
     let mut visited: HashSet<u64> = HashSet::new();
-    let mut queue: VecDeque<State> = VecDeque::new();
+    let mut queue: VecDeque<(State, Vec<Choice>)> = VecDeque::new();
     let mut states: u64 = 0;
 
     let init = State::initial(program);
     visited.insert(init.fingerprint(program, &bidx));
+    let init_choices = init.choices(program);
     let mut vios = Vec::new();
-    static_checks(
-        &init,
-        program,
-        spec,
-        init.choices(program).is_empty(),
-        &mut vios,
-    );
+    static_checks(&init, spec, init_choices.is_empty(), None, &mut vios);
     if vios.iter().any(|v| v.kind == kind) {
         return Some(Vec::new());
     }
-    queue.push_back(init);
+    queue.push_back((init, init_choices));
 
-    while let Some(st) = queue.pop_front() {
-        for choice in st.choices(program) {
-            let mut next = st.clone();
+    while let Some((st, choices)) = queue.pop_front() {
+        for (choice, mut next) in branches(st, choices) {
             let mut vios = Vec::new();
             let mut ev = Evidence::new();
             next.apply(program, choice, &mut ev, &mut vios);
@@ -435,13 +454,8 @@ pub fn shrink(
             // Apply-time violations belong to the *transition*: check
             // them even into an already-visited state (a different
             // predecessor can make the same bad transition).
-            static_checks(
-                &next,
-                program,
-                spec,
-                next.choices(program).is_empty(),
-                &mut vios,
-            );
+            let next_choices = next.choices(program);
+            static_checks(&next, spec, next_choices.is_empty(), None, &mut vios);
             if vios.iter().any(|v| v.kind == kind) {
                 return Some(next.schedule().to_vec());
             }
@@ -453,7 +467,7 @@ pub fn shrink(
                     opts.max_states,
                     program.kernel.name(),
                 );
-                queue.push_back(next);
+                queue.push_back((next, next_choices));
             }
         }
     }
@@ -523,8 +537,8 @@ pub fn witness_reach(
     queue.push_back(init);
 
     while let Some(st) = queue.pop_front() {
-        for choice in st.choices(program) {
-            let mut next = st.clone();
+        let choices = st.choices(program);
+        for (choice, mut next) in branches(st, choices) {
             let mut vios = Vec::new();
             let mut ev = Evidence::new();
             next.apply(program, choice, &mut ev, &mut vios);
@@ -558,26 +572,14 @@ pub fn replay(program: &Program, spec: &Spec, schedule: &[Choice]) -> (State, Ve
     let mut st = State::initial(program);
     let mut vios = Vec::new();
     let mut ev = Evidence::new();
-    static_checks(
-        &st,
-        program,
-        spec,
-        st.choices(program).is_empty(),
-        &mut vios,
-    );
+    static_checks(&st, spec, st.choices(program).is_empty(), None, &mut vios);
     for (i, &choice) in schedule.iter().enumerate() {
         assert!(
             st.choices(program).contains(&choice),
             "replay: step {i} ({choice}) is not enabled",
         );
         st.apply(program, choice, &mut ev, &mut vios);
-        static_checks(
-            &st,
-            program,
-            spec,
-            st.choices(program).is_empty(),
-            &mut vios,
-        );
+        static_checks(&st, spec, st.choices(program).is_empty(), None, &mut vios);
     }
     (st, vios)
 }

@@ -41,7 +41,7 @@
 //! warp-wide fences are recorded for every lane's thread.
 
 use crate::spec::{Choice, Evidence, PersistDomain, Program, Violation, ViolationKind};
-use sbrp_core::fingerprint::Fingerprint;
+use sbrp_core::fingerprint::WordHash;
 use sbrp_core::formal::{EventId, PmoGraph, TraceBuilder};
 use sbrp_core::ops::{ModelKind, PersistOpKind};
 use sbrp_core::scope::{Scope, ThreadPos, WARP_SIZE};
@@ -56,6 +56,19 @@ pub(crate) type Mark = (u32, u32, u32);
 
 fn line_of(addr: u64) -> u64 {
     addr & !(LINE_BYTES - 1)
+}
+
+/// A section tag of [`State::fingerprint`]: the name's bytes packed
+/// into one word.
+const fn tag(name: &str) -> u64 {
+    let bytes = name.as_bytes();
+    let mut word = 0u64;
+    let mut i = 0;
+    while i < bytes.len() {
+        word = (word << 8) | bytes[i] as u64;
+        i += 1;
+    }
+    word
 }
 
 fn tkey(t: ThreadPos) -> (u32, u32) {
@@ -398,7 +411,7 @@ impl State {
     /// Verifies the durable set is still downward-closed under the PMO of
     /// the trace so far — every reachable state is a crash cut.
     fn check_crash_cut(&self, out: &mut Vec<Violation>) {
-        if let Err(v) = self.tb.clone().finish().check_crash_cut(&self.durable_ids) {
+        if let Err(v) = self.tb.check_crash_cut(&self.durable_ids) {
             out.push(Violation {
                 kind: ViolationKind::CrashCut,
                 message: v.to_string(),
@@ -698,7 +711,9 @@ impl State {
     }
 
     /// Canonical fingerprint of the state: equal fingerprints mean equal
-    /// future behaviour for every check the explorer performs.
+    /// future behaviour for every check the explorer performs. The
+    /// words are absorbed by the word-at-a-time [`WordHash`], not the
+    /// byte-serial FNV of the sweep cache (see DESIGN.md).
     ///
     /// The accumulated trace, event ids, and schedule are deliberately
     /// excluded: two states that agree on everything else differ only in
@@ -708,7 +723,7 @@ impl State {
     /// soundness argument.
     #[must_use]
     pub fn fingerprint(&self, program: &Program, blocks: &BlockIndex) -> u64 {
-        let mut fp = Fingerprint::new();
+        let mut fp = WordHash::new();
         fp.write_u64(match program.model {
             ModelKind::Gpm => 0,
             ModelKind::Epoch => 1,
@@ -719,7 +734,7 @@ impl State {
             PersistDomain::Eadr => 1,
         });
         for w in &self.warps {
-            fp.write_str("warp");
+            fp.write_u64(tag("warp"));
             w.interp.fingerprint_into(blocks, &mut fp);
             fp.write_u64(u64::from(w.done));
             fp.write_u64(u64::from(w.arrived));
@@ -729,12 +744,12 @@ impl State {
             fp.write_u64(u64::from(w.ofences_fired));
             fp.write_u64(u64::from(w.dfences_fired));
         }
-        fp.write_str("mem");
+        fp.write_u64(tag("mem"));
         for (&a, &v) in &self.mem {
             fp.write_u64(a);
             fp.write_u64(v);
         }
-        fp.write_str("pb");
+        fp.write_u64(tag("pb"));
         for (&line, e) in &self.pending {
             fp.write_u64(line);
             fp.write_u64(u64::from(e.owner));
@@ -754,14 +769,14 @@ impl State {
                 fp.write_u64(d);
             }
         }
-        fp.write_str("deps");
+        fp.write_u64(tag("deps"));
         for d in &self.warp_deps {
             fp.write_u64(u64::MAX);
             for &line in d {
                 fp.write_u64(line);
             }
         }
-        fp.write_str("flags");
+        fp.write_u64(tag("flags"));
         for (&a, r) in &self.flags {
             fp.write_u64(a);
             let (b, t) = tkey(r.thread);
@@ -774,7 +789,7 @@ impl State {
             }
             fp.write_u64(u64::MAX);
         }
-        fp.write_str("durable");
+        fp.write_u64(tag("durable"));
         for &(b, t, n) in &self.durable_marks {
             fp.write_u64(u64::from(b));
             fp.write_u64(u64::from(t));
