@@ -18,9 +18,6 @@
 //! * `--jobs N`   — sweep worker threads (default: all hardware
 //!   threads; `--jobs 1` is the historical serial order);
 //! * `--no-cache` — ignore and don't write `outputs/.cache`;
-//! * `--cell-timeout SECS` — wall-clock budget per campaign cell;
-//! * `--retries N` / `--retry-seed N` — deterministic retry policy for
-//!   failed cells;
 //! * `--resume`   — reload completed cells from the resume journal and
 //!   run only the missing ones;
 //! * `--journal-dir DIR` — resume-journal root (default
@@ -29,90 +26,47 @@
 //! Without `--quick`, the full six-workload matrix runs at the default
 //! figure scales on the Table 1 machine — an overnight-class sweep.
 
+use sbrp_bench::Cli;
 use sbrp_harness::campaign::{CampaignSpec, CellReport};
-use sbrp_harness::report::Table;
-use sbrp_harness::sweep::{FaultPolicy, SweepOpts};
-use std::time::Duration;
+use sbrp_harness::sweep::SweepOpts;
 
 struct Args {
+    cli: Cli,
     quick: bool,
     points: Option<usize>,
-    scale: Option<u64>,
     seed: Option<u64>,
-    small: bool,
-    csv: bool,
-    jobs: Option<usize>,
-    no_cache: bool,
-    cell_timeout: Option<f64>,
-    retries: u32,
-    retry_seed: u64,
-    resume: bool,
-    journal_dir: Option<String>,
 }
 
 fn parse_args() -> Args {
     let mut out = Args {
+        cli: Cli::default(),
         quick: false,
         points: None,
-        scale: None,
         seed: None,
-        small: false,
-        csv: false,
-        jobs: None,
-        no_cache: false,
-        cell_timeout: None,
-        retries: 0,
-        retry_seed: 42,
-        resume: false,
-        journal_dir: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        let mut arg = |name: &str| -> String {
+        let mut num = |name: &str| -> u64 {
             args.next()
                 .unwrap_or_else(|| panic!("{name} needs a value"))
-        };
-        let mut num = |name: &str| -> u64 {
-            arg(name)
                 .parse()
                 .unwrap_or_else(|_| panic!("{name} must be an integer"))
         };
         match a.as_str() {
             "--quick" => out.quick = true,
             "--points" => out.points = Some(num("--points") as usize),
-            "--scale" => out.scale = Some(num("--scale")),
+            "--scale" => out.cli.scale = Some(num("--scale")),
             "--seed" => out.seed = Some(num("--seed")),
-            "--small" => out.small = true,
-            "--csv" => out.csv = true,
-            "--jobs" => {
-                let n = num("--jobs") as usize;
-                assert!(n > 0, "--jobs must be at least 1");
-                out.jobs = Some(n);
-            }
-            "--no-cache" => out.no_cache = true,
-            "--cell-timeout" => {
-                let secs: f64 = arg("--cell-timeout")
-                    .parse()
-                    .expect("--cell-timeout must be seconds");
-                assert!(
-                    secs.is_finite() && secs > 0.0,
-                    "--cell-timeout must be positive"
-                );
-                out.cell_timeout = Some(secs);
-            }
-            "--retries" => out.retries = num("--retries") as u32,
-            "--retry-seed" => out.retry_seed = num("--retry-seed"),
-            "--resume" => out.resume = true,
-            "--journal-dir" => out.journal_dir = Some(arg("--journal-dir")),
+            "--small" => out.cli.small = true,
+            "--csv" => out.cli.csv = true,
             "--help" | "-h" => {
                 println!(
                     "usage: campaign [--quick] [--points N] [--scale N] [--seed N] [--small] \
-                     [--csv] [--jobs N] [--no-cache] [--cell-timeout SECS] [--retries N] \
-                     [--retry-seed N] [--resume] [--journal-dir DIR]"
+                     [--csv] [--jobs N] [--no-cache] [--resume] [--journal-dir DIR]"
                 );
                 std::process::exit(0);
             }
-            other => panic!("unknown flag {other}; try --help"),
+            other => out.cli.expect_sweep_flag(other, &mut args),
         }
     }
     out
@@ -128,36 +82,20 @@ fn main() {
     if let Some(p) = args.points {
         spec.points_per_cell = p;
     }
-    if let Some(s) = args.scale {
+    if let Some(s) = args.cli.scale {
         spec.scale = Some(s);
     }
     if let Some(s) = args.seed {
         spec.seed = s;
     }
-    if args.small {
+    if args.cli.small {
         spec.small_gpu = true;
     }
     let opts = SweepOpts {
-        jobs: args.jobs.unwrap_or(0),
-        cache_dir: if args.no_cache {
-            None
-        } else {
-            Some(SweepOpts::default_cache_dir())
-        },
         // The per-cell status lines below carry more detail than the
         // engine's generic progress output.
         progress: false,
-        fault: FaultPolicy {
-            cell_timeout: args.cell_timeout.map(Duration::from_secs_f64),
-            retries: args.retries,
-            retry_seed: args.retry_seed,
-        },
-        journal_root: match &args.journal_dir {
-            Some(dir) => Some(dir.into()),
-            None if args.no_cache => None,
-            None => Some(SweepOpts::default_journal_root()),
-        },
-        resume: args.resume,
+        ..args.cli.sweep_opts()
     };
 
     let cells = spec.workloads.len() * spec.models.len() * spec.systems.len();
@@ -174,8 +112,8 @@ fn main() {
     let report = sbrp_harness::campaign::run_with_opts(&spec, &opts, |cell: &CellReport| {
         done += 1;
         let status = if let Some(e) = &cell.baseline_error {
-            // Covers both baseline failures and engine-contained ones
-            // (panic / deadline), which surface through the same field.
+            // Covers both baseline failures and engine-contained panics,
+            // which surface through the same field.
             format!("FAILED: {e}")
         } else if cell.violations() == 0 {
             format!(
@@ -203,12 +141,7 @@ fn main() {
         );
     });
 
-    let table: Table = report.table();
-    if args.csv {
-        print!("{}", table.to_csv());
-    } else {
-        print!("{}", table.to_text());
-    }
+    args.cli.emit(&report.table());
 
     // Spell out every violation with its shrunk minimal crash point.
     for cell in &report.cells {

@@ -89,8 +89,9 @@ fn main() {
     opts.cache_dir = None;
     opts.journal_root = None;
     let (outcomes, summary) = sweep(&opts, &cells);
-    // A panicking or hung kernel (the `expect` in gpu()) surfaces here
-    // as an aggregated failure table and a nonzero exit.
+    // A kernel that deadlocks or overruns its cycle budget panics at the
+    // `expect` in gpu(); the panic surfaces here as an aggregated
+    // failure table and a nonzero exit.
     let cycles = unwrap_outcomes(&cells, outcomes).unwrap_or_else(|f| f.exit_with_report());
 
     let stride = Micro::ALL.len() * MODELS.len();

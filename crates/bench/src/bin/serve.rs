@@ -8,8 +8,8 @@
 //! [--zipf THETA] [--batch N] [--linger CYCLES] [--queue-bound N]
 //! [--model LIST] [--requests N] [--crash-at CYCLE] [--seed N]
 //! [--out-dir DIR]` plus the standard sweep flags (`--scale`, `--small`,
-//! `--csv`, `--json`, `--jobs`, `--no-cache`, `--cell-timeout`,
-//! `--retries`, `--retry-seed`, `--resume`, `--journal-dir`).
+//! `--csv`, `--json`, `--jobs`, `--no-cache`, `--resume`,
+//! `--journal-dir`).
 //!
 //! * `--rate` — comma list of offered rates in requests per kilocycle
 //!   (decimals allowed: `--rate 0.5,2,8`).
@@ -52,10 +52,7 @@ fn parse_milli(v: &str, flag: &str) -> u64 {
 #[allow(clippy::too_many_lines)]
 fn parse_args() -> Args {
     let mut parsed = Args {
-        cli: Cli {
-            retry_seed: 42,
-            ..Cli::default()
-        },
+        cli: Cli::default(),
         smoke: false,
         arrival: ArrivalKind::Poisson,
         rates_milli: None,
@@ -150,7 +147,8 @@ fn parse_args() -> Args {
                     .expect("--seed must be an integer");
             }
             "--out-dir" => parsed.out_dir = need("--out-dir", args.next()),
-            // Standard sweep flags, mirrored from `Cli::parse`.
+            // Output flags mirrored from `Cli::parse`; the shared sweep
+            // flags fall through to `Cli::expect_sweep_flag`.
             "--scale" => {
                 parsed.cli.scale = Some(
                     need("--scale", args.next())
@@ -161,48 +159,17 @@ fn parse_args() -> Args {
             "--small" => parsed.cli.small = true,
             "--csv" => parsed.cli.csv = true,
             "--json" => parsed.cli.json = true,
-            "--jobs" => {
-                let n: usize = need("--jobs", args.next())
-                    .parse()
-                    .expect("--jobs must be a positive integer");
-                assert!(n > 0, "--jobs must be at least 1");
-                parsed.cli.jobs = Some(n);
-            }
-            "--no-cache" => parsed.cli.no_cache = true,
-            "--cell-timeout" => {
-                let secs: f64 = need("--cell-timeout", args.next())
-                    .parse()
-                    .expect("--cell-timeout must be seconds");
-                assert!(
-                    secs.is_finite() && secs > 0.0,
-                    "--cell-timeout must be positive"
-                );
-                parsed.cli.cell_timeout = Some(secs);
-            }
-            "--retries" => {
-                parsed.cli.retries = need("--retries", args.next())
-                    .parse()
-                    .expect("--retries must be an integer");
-            }
-            "--retry-seed" => {
-                parsed.cli.retry_seed = need("--retry-seed", args.next())
-                    .parse()
-                    .expect("--retry-seed must be an integer");
-            }
-            "--resume" => parsed.cli.resume = true,
-            "--journal-dir" => parsed.cli.journal_dir = Some(need("--journal-dir", args.next())),
             "--help" | "-h" => {
                 println!(
                     "usage: serve [--smoke] [--arrival poisson|bursty] [--rate LIST] \
                      [--zipf THETA] [--batch N] [--linger CYCLES] [--queue-bound N] \
                      [--model sbrp,epoch,gpm,eadr] [--requests N] [--crash-at CYCLE] \
                      [--seed N] [--out-dir DIR] [--scale N] [--small] [--csv] [--json] \
-                     [--jobs N] [--no-cache] [--cell-timeout SECS] [--retries N] \
-                     [--retry-seed N] [--resume] [--journal-dir DIR]"
+                     [--jobs N] [--no-cache] [--resume] [--journal-dir DIR]"
                 );
                 std::process::exit(0);
             }
-            other => panic!("unknown flag {other}; try --help"),
+            other => parsed.cli.expect_sweep_flag(other, &mut args),
         }
     }
     parsed

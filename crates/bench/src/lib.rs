@@ -20,23 +20,20 @@
 //!   byte-identically);
 //! * `--no-cache` — ignore and don't write the `outputs/.cache` result
 //!   cache;
-//! * `--cell-timeout SECS` — wall-clock budget per sweep cell; a cell
-//!   that overruns it becomes an explicit deadline failure instead of
-//!   hanging the sweep;
-//! * `--retries N` — re-run a failed cell (panic, deadline, simulation
-//!   error) up to N extra times with a deterministic seeded backoff;
-//! * `--retry-seed N` — seed of that backoff schedule (default 42);
 //! * `--resume` — reload completed cells from the crash-safe resume
 //!   journal and execute only the missing ones;
 //! * `--journal-dir DIR` — resume-journal root (default
 //!   `outputs/.cache/journal`; `--no-cache` also disables journaling
 //!   unless this flag names a directory explicitly).
 //!
+//! A panicking cell becomes an explicit error row. No flag sets a
+//! wall-clock deadline or a retry: every cell stops on the simulator's
+//! own cycle bound, so outcomes do not depend on the host or `--jobs`.
+//!
 //! Run one with e.g. `cargo run -p sbrp-bench --release --bin figure6`.
 
 use sbrp_harness::report::Table;
-use sbrp_harness::sweep::{FaultPolicy, SweepOpts};
-use std::time::Duration;
+use sbrp_harness::sweep::SweepOpts;
 
 /// Options shared by all figure binaries.
 #[derive(Clone, Debug, Default)]
@@ -57,12 +54,6 @@ pub struct Cli {
     pub jobs: Option<usize>,
     /// Bypass the on-disk result cache.
     pub no_cache: bool,
-    /// Per-cell wall-clock budget in seconds.
-    pub cell_timeout: Option<f64>,
-    /// Extra attempts for failed cells.
-    pub retries: u32,
-    /// Seed of the deterministic retry backoff schedule.
-    pub retry_seed: u64,
     /// Reload completed cells from the resume journal.
     pub resume: bool,
     /// Resume-journal root; overrides the default and survives
@@ -78,10 +69,7 @@ impl Cli {
     /// `--scale`.
     #[must_use]
     pub fn parse() -> Self {
-        let mut cli = Cli {
-            retry_seed: 42,
-            ..Cli::default()
-        };
+        let mut cli = Cli::default();
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
             match a.as_str() {
@@ -95,46 +83,42 @@ impl Cli {
                 "--trace-out" => {
                     cli.trace_out = Some(args.next().expect("--trace-out needs a file path"));
                 }
-                "--jobs" => {
-                    let v = args.next().expect("--jobs needs a value");
-                    let n: usize = v.parse().expect("--jobs must be a positive integer");
-                    assert!(n > 0, "--jobs must be at least 1");
-                    cli.jobs = Some(n);
-                }
-                "--no-cache" => cli.no_cache = true,
-                "--cell-timeout" => {
-                    let v = args.next().expect("--cell-timeout needs a value");
-                    let secs: f64 = v.parse().expect("--cell-timeout must be seconds");
-                    assert!(
-                        secs.is_finite() && secs > 0.0,
-                        "--cell-timeout must be positive"
-                    );
-                    cli.cell_timeout = Some(secs);
-                }
-                "--retries" => {
-                    let v = args.next().expect("--retries needs a value");
-                    cli.retries = v.parse().expect("--retries must be an integer");
-                }
-                "--retry-seed" => {
-                    let v = args.next().expect("--retry-seed needs a value");
-                    cli.retry_seed = v.parse().expect("--retry-seed must be an integer");
-                }
-                "--resume" => cli.resume = true,
-                "--journal-dir" => {
-                    cli.journal_dir = Some(args.next().expect("--journal-dir needs a directory"));
-                }
                 "--help" | "-h" => {
                     println!(
                         "usage: <figure-bin> [--scale N] [--small] [--csv] [--json] \
-                         [--trace-out FILE] [--jobs N] [--no-cache] [--cell-timeout SECS] \
-                         [--retries N] [--retry-seed N] [--resume] [--journal-dir DIR]"
+                         [--trace-out FILE] [--jobs N] [--no-cache] [--resume] \
+                         [--journal-dir DIR]"
                     );
                     std::process::exit(0);
                 }
-                other => panic!("unknown flag {other}; try --help"),
+                other => cli.expect_sweep_flag(other, &mut args),
             }
         }
         cli
+    }
+
+    /// Parses one of the sweep flags every sweeping binary shares
+    /// (`--jobs`, `--no-cache`, `--resume`, `--journal-dir`), taking its
+    /// value from `args`.
+    ///
+    /// # Panics
+    /// Panics (pointing at `--help`) on any other flag or a malformed
+    /// `--jobs`.
+    pub fn expect_sweep_flag(&mut self, flag: &str, args: &mut impl Iterator<Item = String>) {
+        match flag {
+            "--jobs" => {
+                let v = args.next().expect("--jobs needs a value");
+                let n: usize = v.parse().expect("--jobs must be a positive integer");
+                assert!(n > 0, "--jobs must be at least 1");
+                self.jobs = Some(n);
+            }
+            "--no-cache" => self.no_cache = true,
+            "--resume" => self.resume = true,
+            "--journal-dir" => {
+                self.journal_dir = Some(args.next().expect("--journal-dir needs a directory"));
+            }
+            other => panic!("unknown flag {other}; try --help"),
+        }
     }
 
     /// The sweep-engine configuration these flags select.
@@ -148,11 +132,6 @@ impl Cli {
                 Some(SweepOpts::default_cache_dir())
             },
             progress: true,
-            fault: FaultPolicy {
-                cell_timeout: self.cell_timeout.map(Duration::from_secs_f64),
-                retries: self.retries,
-                retry_seed: self.retry_seed,
-            },
             journal_root: match &self.journal_dir {
                 Some(dir) => Some(dir.into()),
                 None if self.no_cache => None,
@@ -212,20 +191,26 @@ mod tests {
     }
 
     #[test]
+    fn shared_sweep_flags_parse_into_cli() {
+        let mut cli = Cli::default();
+        let mut values = ["4", "/tmp/j"].into_iter().map(String::from);
+        for flag in ["--jobs", "--no-cache", "--journal-dir", "--resume"] {
+            cli.expect_sweep_flag(flag, &mut values);
+        }
+        assert_eq!(cli.jobs, Some(4));
+        assert!(cli.no_cache && cli.resume);
+        assert_eq!(cli.journal_dir.as_deref(), Some("/tmp/j"));
+    }
+
+    #[test]
     fn fault_flags_map_onto_sweep_opts() {
         let cli = Cli {
-            cell_timeout: Some(1.5),
-            retries: 3,
-            retry_seed: 7,
             resume: true,
             journal_dir: Some("/tmp/j".into()),
             no_cache: true,
             ..Cli::default()
         };
         let opts = cli.sweep_opts();
-        assert_eq!(opts.fault.cell_timeout, Some(Duration::from_millis(1500)));
-        assert_eq!(opts.fault.retries, 3);
-        assert_eq!(opts.fault.retry_seed, 7);
         assert!(opts.resume);
         assert_eq!(opts.cache_dir, None, "--no-cache disables the cache");
         assert_eq!(

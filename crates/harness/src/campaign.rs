@@ -606,8 +606,8 @@ fn run_cell(
 /// combination runs inside one cell, so the engine parallelizes across
 /// the matrix while each cell's internal binary-search stays ordered.
 #[derive(Clone, Debug)]
-pub struct CampaignCell {
-    spec: CampaignSpec,
+pub struct CampaignCell<'a> {
+    spec: &'a CampaignSpec,
     workload: WorkloadKind,
     model: ModelKind,
     system: SystemDesign,
@@ -616,13 +616,13 @@ pub struct CampaignCell {
 /// The campaign matrix as sweep cells, in the deterministic
 /// workload-major order reports use.
 #[must_use]
-pub fn cells(spec: &CampaignSpec) -> Vec<CampaignCell> {
+pub fn cells(spec: &CampaignSpec) -> Vec<CampaignCell<'_>> {
     let mut out = Vec::new();
     for &workload in &spec.workloads {
         for &model in &spec.models {
             for &system in &spec.systems {
                 out.push(CampaignCell {
-                    spec: spec.clone(),
+                    spec,
                     workload,
                     model,
                     system,
@@ -633,7 +633,7 @@ pub fn cells(spec: &CampaignSpec) -> Vec<CampaignCell> {
     out
 }
 
-impl SweepCell for CampaignCell {
+impl SweepCell for CampaignCell<'_> {
     type Out = CellReport;
 
     fn name(&self) -> String {
@@ -656,7 +656,7 @@ impl SweepCell for CampaignCell {
     }
 
     fn run(&self) -> CellReport {
-        run_cell(&self.spec, self.workload, self.model, self.system)
+        run_cell(self.spec, self.workload, self.model, self.system)
     }
 
     fn to_cache(&self, out: &CellReport) -> Option<String> {
@@ -789,12 +789,12 @@ fn outcome_from_json(v: &Json) -> Option<PointOutcome> {
 }
 
 /// Resolves one sweep-engine outcome into a [`CellReport`]: completed
-/// cells pass through, while engine-level failures (a panicking or
-/// deadline-overrunning cell) synthesize a report whose
+/// cells pass through, while an engine-level failure (a panicking
+/// cell) synthesizes a report whose
 /// `baseline_error` carries the failure — the same explicit-error-row
 /// path a cell that cannot run crash-free already takes, so reports
 /// stay complete and `ok()` goes false.
-fn resolve_outcome(cell: &CampaignCell, outcome: CellOutcome<CellReport>) -> CellReport {
+fn resolve_outcome(cell: &CampaignCell<'_>, outcome: CellOutcome<CellReport>) -> CellReport {
     match outcome {
         CellOutcome::Ok(report) | CellOutcome::Err { out: report, .. } => report,
         engine_failure => CellReport {
@@ -1007,6 +1007,26 @@ mod tests {
         // Wrong schema or kind falls back to a live run.
         assert!(cell.parse_cached("{\"schema\":999}").is_none());
         assert!(cell.parse_cached("not json").is_none());
+    }
+
+    #[test]
+    fn panicked_cell_becomes_an_error_row_and_fails_the_campaign() {
+        let spec = tiny_spec();
+        let cell = cells(&spec).into_iter().next().unwrap();
+        let report = resolve_outcome(
+            &cell,
+            CellOutcome::Panicked {
+                message: "injected".into(),
+            },
+        );
+        assert_eq!(report.baseline_error.as_deref(), Some("panicked: injected"));
+        assert!(report.points.is_empty());
+        let campaign = CampaignReport {
+            cells: vec![report],
+        };
+        let row = campaign.table().to_csv();
+        assert!(row.contains("baseline: panicked: injected"), "{row}");
+        assert!(!campaign.ok(), "a panicked cell must fail the campaign");
     }
 
     #[test]

@@ -52,14 +52,6 @@ pub enum HarnessError {
         /// The panic message.
         message: String,
     },
-    /// The cell overran its configured wall-clock deadline
-    /// (`--cell-timeout`) and was abandoned by the sweep watchdog.
-    Deadline {
-        /// `workload model/system` of the failing cell.
-        cell: String,
-        /// The configured budget, in milliseconds.
-        limit_millis: u64,
-    },
 }
 
 impl HarnessError {
@@ -69,8 +61,7 @@ impl HarnessError {
         match self {
             HarnessError::Sim { cell, .. }
             | HarnessError::Outcome { cell, .. }
-            | HarnessError::Panicked { cell, .. }
-            | HarnessError::Deadline { cell, .. } => cell,
+            | HarnessError::Panicked { cell, .. } => cell,
         }
     }
 
@@ -82,9 +73,6 @@ impl HarnessError {
             HarnessError::Sim { source, .. } => source.to_string(),
             HarnessError::Outcome { detail, .. } => detail.clone(),
             HarnessError::Panicked { message, .. } => format!("cell panicked: {message}"),
-            HarnessError::Deadline { limit_millis, .. } => {
-                format!("cell exceeded the {limit_millis} ms deadline")
-            }
         }
     }
 }

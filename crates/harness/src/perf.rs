@@ -12,7 +12,7 @@
 //! sub-integer resolution.
 
 use crate::json::Json;
-use crate::sweep::{run_specs_expect, FaultPolicy, SweepOpts};
+use crate::sweep::{run_specs_expect, SweepOpts};
 use crate::RunSpec;
 
 /// A named group of cells measured as one unit.
@@ -52,11 +52,7 @@ pub struct PerfResult {
 pub fn measure(case: &PerfCase, jobs: usize) -> PerfResult {
     let opts = SweepOpts {
         jobs,
-        cache_dir: None,
-        progress: false,
-        fault: FaultPolicy::default(),
-        journal_root: None,
-        resume: false,
+        ..SweepOpts::serial()
     };
     let (outs, summary) = run_specs_expect(&opts, &case.specs);
     let sim_cycles: u64 = outs.iter().map(|o| o.cycles).sum();

@@ -45,7 +45,9 @@
 
 use crate::json::Json;
 use crate::report::Table;
-use crate::sweep::{sweep, CellOutcome, SweepCell, SweepOpts, SweepSummary, CACHE_SCHEMA};
+use crate::sweep::{
+    collect_strict, flatten_outcome, sweep, SweepCell, SweepOpts, SweepSummary, CACHE_SCHEMA,
+};
 use crate::{HarnessError, CYCLE_LIMIT};
 use sbrp_core::fingerprint::Fingerprint;
 use sbrp_core::ModelKind;
@@ -859,17 +861,7 @@ pub fn run_serve_cells(
     let results = cells
         .iter()
         .zip(outcomes)
-        .map(|(cell, outcome)| match outcome {
-            CellOutcome::Ok(r) | CellOutcome::Err { out: r, .. } => r,
-            CellOutcome::Panicked { message, .. } => Err(HarnessError::Panicked {
-                cell: cell.name(),
-                message,
-            }),
-            CellOutcome::DeadlineExceeded { limit_millis, .. } => Err(HarnessError::Deadline {
-                cell: cell.name(),
-                limit_millis,
-            }),
-        })
+        .map(|(cell, outcome)| flatten_outcome(cell.name(), outcome))
         .collect();
     (results, summary)
 }
@@ -882,18 +874,9 @@ pub fn run_serve_cells_expect(
     cells: &[ServeCell],
 ) -> (Vec<ServeOutput>, SweepSummary) {
     let (results, summary) = run_serve_cells(opts, cells);
-    let mut oks = Vec::with_capacity(results.len());
-    let mut failures = Vec::new();
-    for (cell, result) in cells.iter().zip(results) {
-        match result {
-            Ok(out) => oks.push(out),
-            Err(e) => failures.push((cell.name(), e.detail())),
-        }
-    }
-    if failures.is_empty() {
-        (oks, summary)
-    } else {
-        crate::sweep::SweepFailures { failures }.exit_with_report()
+    match collect_strict(cells.iter().map(SweepCell::name), results) {
+        Ok(served) => (served, summary),
+        Err(failures) => failures.exit_with_report(),
     }
 }
 

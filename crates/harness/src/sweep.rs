@@ -30,16 +30,11 @@
 //!   panicking cell becomes [`CellOutcome::Panicked`] (an explicit
 //!   error row downstream) instead of poisoning the flush mutex and
 //!   aborting the whole matrix.
-//! * **Cell deadlines** — with [`FaultPolicy::cell_timeout`] set, a
-//!   watchdog runs the cell on its own thread and abandons it at the
-//!   wall-clock limit, turning hangs into
-//!   [`CellOutcome::DeadlineExceeded`].
-//! * **Bounded retries** — [`FaultPolicy::retries`] re-runs
-//!   transiently-failed cells (panics, deadlines, and outputs the
-//!   cell's [`SweepCell::failure`] classifies as failures) with a
-//!   seeded backoff schedule ([`retry_backoff_millis`]) that is a pure
-//!   function of `(seed, fingerprint, attempt)` — jobs-1 and jobs-N
-//!   sweeps stay byte-identical.
+//! * **Bounded cells** — the engine sets no wall-clock deadline and
+//!   never retries. Every cell stops on its own deterministic bound
+//!   (`CYCLE_LIMIT` for every `Gpu::run*` path, `McOpts::max_states` in
+//!   the model checker), so a failure re-run would fail the same way,
+//!   and an outcome never depends on the host or on `--jobs`.
 //! * **Crash-safe resume journal** — with [`SweepOpts::journal_root`]
 //!   set, every successful cell result is also recorded in a per-sweep
 //!   journal directory via atomic temp-file + rename, and
@@ -67,46 +62,13 @@ use sbrp_gpu_sim::stats::SimStats;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::{Mutex, PoisonError};
+use std::time::Instant;
 
 /// Bumped whenever the cache serialization or the simulator's observable
 /// behaviour changes incompatibly; part of every fingerprint, so stale
 /// caches miss instead of serving wrong results.
 pub const CACHE_SCHEMA: u64 = 3;
-
-/// Per-cell fault handling: deadlines and retries. Part of
-/// [`SweepOpts`]; the defaults (no deadline, no retries) reproduce the
-/// historical fail-fast execution except that failures are *contained*
-/// rather than fatal.
-#[derive(Clone, Debug)]
-pub struct FaultPolicy {
-    /// Wall-clock budget per cell attempt; `None` means unbounded. When
-    /// set, each attempt runs on a watchdog-supervised thread that is
-    /// abandoned (left to finish in the background) once the budget is
-    /// spent, and the cell resolves to
-    /// [`CellOutcome::DeadlineExceeded`].
-    pub cell_timeout: Option<Duration>,
-    /// Maximum number of *re*-runs after a failed attempt (so a cell
-    /// executes at most `retries + 1` times). Applies to panics,
-    /// deadline overruns, and outputs classified as failures by
-    /// [`SweepCell::failure`].
-    pub retries: u32,
-    /// Seed of the deterministic retry backoff schedule; see
-    /// [`retry_backoff_millis`].
-    pub retry_seed: u64,
-}
-
-impl Default for FaultPolicy {
-    /// No deadline, no retries, the conventional seed.
-    fn default() -> Self {
-        FaultPolicy {
-            cell_timeout: None,
-            retries: 0,
-            retry_seed: 42,
-        }
-    }
-}
 
 /// How a sweep executes.
 #[derive(Clone, Debug)]
@@ -119,8 +81,6 @@ pub struct SweepOpts {
     pub cache_dir: Option<PathBuf>,
     /// Print `[done/total] cell (ms)` progress lines to stderr.
     pub progress: bool,
-    /// Per-cell deadline and retry policy.
-    pub fault: FaultPolicy,
     /// Root directory for resume journals; each sweep writes its
     /// records into a subdirectory keyed by the sweep's identity (the
     /// ordered cell fingerprints). `None` disables journaling.
@@ -139,7 +99,6 @@ impl Default for SweepOpts {
             jobs: 0,
             cache_dir: Some(Self::default_cache_dir()),
             progress: true,
-            fault: FaultPolicy::default(),
             journal_root: Some(Self::default_journal_root()),
             resume: false,
         }
@@ -156,7 +115,6 @@ impl SweepOpts {
             jobs: 1,
             cache_dir: None,
             progress: false,
-            fault: FaultPolicy::default(),
             journal_root: None,
             resume: false,
         }
@@ -199,14 +157,13 @@ impl SweepOpts {
 ///    the cache file name). An under-hashed cell silently serves stale
 ///    results; when in doubt, hash more.
 ///
-/// The `Clone + Send + 'static` supertraits exist for the deadline
-/// watchdog: a timed attempt runs a clone of the cell on a thread the
-/// engine may have to abandon, which the borrow checker (rightly)
-/// refuses for borrowed cells.
-pub trait SweepCell: Sync + Send + Clone + 'static {
-    /// The cell's result. `Send + 'static` because workers (and the
-    /// deadline watchdog's channel) hand it back across threads.
-    type Out: Send + 'static;
+/// Workers share the cell list and run each cell on the thread that
+/// claimed it, inside one `std::thread::scope`, so cells only need to be
+/// `Sync` and may borrow from the caller.
+pub trait SweepCell: Sync {
+    /// The cell's result. `Send` because workers hand it back across
+    /// threads.
+    type Out: Send;
 
     /// Human-readable cell name for progress lines and summaries.
     fn name(&self) -> String;
@@ -219,9 +176,8 @@ pub trait SweepCell: Sync + Send + Clone + 'static {
     fn run(&self) -> Self::Out;
 
     /// Classifies a completed output as a failure (returning its
-    /// message) or a success (`None`, the default). Failures are
-    /// retried under [`FaultPolicy::retries`] and resolve to
-    /// [`CellOutcome::Err`] once the budget is spent.
+    /// message) or a success (`None`, the default). Failures resolve to
+    /// [`CellOutcome::Err`].
     fn failure(&self, _out: &Self::Out) -> Option<String> {
         None
     }
@@ -240,36 +196,25 @@ pub trait SweepCell: Sync + Send + Clone + 'static {
 }
 
 /// How one cell of a sweep resolved. `Ok` is the only variant produced
-/// by pre-fault-tolerance sweeps; the other three are the contained
-/// forms of what used to kill the whole process.
+/// by pre-fault-tolerance sweeps; the other two are the contained forms
+/// of what used to kill the whole process.
 #[derive(Clone, Debug)]
 pub enum CellOutcome<T> {
     /// The cell completed and its output classified as a success.
     Ok(T),
-    /// The cell completed every attempt, but the final output still
-    /// classified as a failure ([`SweepCell::failure`]). The typed
-    /// output is preserved alongside the failure message.
+    /// The cell completed, but its output classified as a failure
+    /// ([`SweepCell::failure`]). The typed output is preserved alongside
+    /// the failure message.
     Err {
-        /// The final attempt's output.
+        /// The cell's output.
         out: T,
-        /// The failure message of the final attempt.
+        /// The failure message.
         message: String,
-        /// Total attempts executed (1 + retries spent).
-        attempts: u32,
     },
-    /// Every attempt panicked; the last panic payload is captured.
+    /// The cell panicked; the panic payload is captured.
     Panicked {
-        /// The final panic message.
+        /// The panic message.
         message: String,
-        /// Total attempts executed.
-        attempts: u32,
-    },
-    /// Every attempt overran the per-cell wall-clock deadline.
-    DeadlineExceeded {
-        /// The configured budget, in milliseconds.
-        limit_millis: u64,
-        /// Total attempts executed.
-        attempts: u32,
     },
 }
 
@@ -281,7 +226,7 @@ impl<T> CellOutcome<T> {
     }
 
     /// The typed output, if one exists (`Ok` and `Err` carry one;
-    /// panicked and timed-out cells have none).
+    /// panicked cells have none).
     #[must_use]
     pub fn output(&self) -> Option<&T> {
         match self {
@@ -295,18 +240,8 @@ impl<T> CellOutcome<T> {
     pub fn error(&self) -> Option<String> {
         match self {
             CellOutcome::Ok(_) => None,
-            CellOutcome::Err {
-                message, attempts, ..
-            } => Some(format!("failed after {attempts} attempt(s): {message}")),
-            CellOutcome::Panicked { message, attempts } => {
-                Some(format!("panicked after {attempts} attempt(s): {message}"))
-            }
-            CellOutcome::DeadlineExceeded {
-                limit_millis,
-                attempts,
-            } => Some(format!(
-                "exceeded the {limit_millis} ms cell deadline ({attempts} attempt(s))"
-            )),
+            CellOutcome::Err { message, .. } => Some(message.clone()),
+            CellOutcome::Panicked { message } => Some(format!("panicked: {message}")),
         }
     }
 }
@@ -373,26 +308,6 @@ pub fn unwrap_outcomes<C: SweepCell>(
     }
 }
 
-/// The deterministic retry backoff, in milliseconds: a pure function of
-/// the fault-policy seed, the cell fingerprint, and the (1-based) retry
-/// attempt. Exponential base (10 ms doubling per attempt, capped) plus
-/// a seeded jitter in `[0, base)`; the total never exceeds 4096 ms.
-/// Because the schedule depends on nothing runtime-varying, jobs-1 and
-/// jobs-N sweeps retry identically and stay byte-identical.
-#[must_use]
-pub fn retry_backoff_millis(seed: u64, fingerprint: u64, attempt: u32) -> u64 {
-    let base = 10u64 << attempt.saturating_sub(1).min(7);
-    let jitter = splitmix64(seed ^ fingerprint.rotate_left(17) ^ u64::from(attempt)) % base;
-    (base + jitter).min(4096)
-}
-
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Wall-clock record of one executed cell.
 #[derive(Clone, Debug)]
 pub struct CellTiming {
@@ -404,8 +319,6 @@ pub struct CellTiming {
     pub cached: bool,
     /// Whether the result came from the resume journal.
     pub resumed: bool,
-    /// Attempts executed (0 for cache/journal loads).
-    pub attempts: u32,
     /// Whether the cell resolved to a non-`Ok` outcome.
     pub failed: bool,
 }
@@ -510,7 +423,6 @@ pub fn sweep_with<C: SweepCell>(
     let ctx = CellContext {
         cache,
         journal: journal.as_deref(),
-        fault: &opts.fault,
         resume: opts.resume,
     };
 
@@ -597,14 +509,9 @@ fn progress_line(done: usize, total: usize, t: &CellTiming) {
     } else {
         ""
     };
-    let attempts = if t.attempts > 1 {
-        format!(" ({} attempts)", t.attempts)
-    } else {
-        String::new()
-    };
     let failed = if t.failed { " FAILED" } else { "" };
     eprintln!(
-        "[{done}/{total}] {} {} ms{source}{attempts}{failed}",
+        "[{done}/{total}] {} {} ms{source}{failed}",
         t.name, t.millis
     );
 }
@@ -613,15 +520,7 @@ fn progress_line(done: usize, total: usize, t: &CellTiming) {
 struct CellContext<'a> {
     cache: Option<&'a Path>,
     journal: Option<&'a Path>,
-    fault: &'a FaultPolicy,
     resume: bool,
-}
-
-/// One attempt's raw result, before retry accounting.
-enum Attempt<T> {
-    Finished(T),
-    Panicked(String),
-    TimedOut(u64),
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -634,57 +533,20 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs one attempt of `cell` inside the fault boundary. Without a
-/// deadline the attempt runs inline under `catch_unwind`; with one, it
-/// runs a clone of the cell on a watchdog thread that is abandoned
-/// (detached, left to wind down on its own) if the budget expires — a
-/// hung simulation costs its thread, never the sweep.
-fn attempt_run<C: SweepCell>(cell: &C, timeout: Option<Duration>) -> Attempt<C::Out> {
-    match timeout {
-        None => match catch_unwind(AssertUnwindSafe(|| cell.run())) {
-            Ok(out) => Attempt::Finished(out),
-            Err(payload) => Attempt::Panicked(panic_message(payload.as_ref())),
-        },
-        Some(limit) => {
-            let (tx, rx) = mpsc::channel();
-            let runner = cell.clone();
-            let spawned = std::thread::Builder::new()
-                .name("sbrp-sweep-cell".into())
-                .spawn(move || {
-                    let result = catch_unwind(AssertUnwindSafe(|| runner.run()));
-                    // The receiver may have given up; a dead channel
-                    // just discards the late result.
-                    let _ = tx.send(result.map_err(|p| panic_message(p.as_ref())));
-                });
-            match spawned {
-                Err(e) => Attempt::Panicked(format!("could not spawn cell thread: {e}")),
-                Ok(_) => match rx.recv_timeout(limit) {
-                    Ok(Ok(out)) => Attempt::Finished(out),
-                    Ok(Err(message)) => Attempt::Panicked(message),
-                    Err(_) => Attempt::TimedOut(limit.as_millis() as u64),
-                },
-            }
-        }
-    }
-}
-
 fn run_one<C: SweepCell>(
     ctx: &CellContext<'_>,
     index: usize,
     cell: &C,
 ) -> (CellOutcome<C::Out>, CellTiming) {
     let t0 = Instant::now();
-    let fp = cell.fingerprint();
-    let key = Fingerprint::hex(fp);
-    let timing =
-        |cached: bool, resumed: bool, attempts: u32, failed: bool, t0: Instant| CellTiming {
-            name: cell.name(),
-            millis: t0.elapsed().as_millis() as u64,
-            cached,
-            resumed,
-            attempts,
-            failed,
-        };
+    let key = Fingerprint::hex(cell.fingerprint());
+    let timing = |cached: bool, resumed: bool, failed: bool, t0: Instant| CellTiming {
+        name: cell.name(),
+        millis: t0.elapsed().as_millis() as u64,
+        cached,
+        resumed,
+        failed,
+    };
 
     // 1. Resume journal: a record proves this very sweep already
     //    completed the cell successfully.
@@ -693,7 +555,7 @@ fn run_one<C: SweepCell>(
             if let Some(out) = read_journal_record(dir, index, &key)
                 .and_then(|payload| cell.parse_cached(&payload))
             {
-                return (CellOutcome::Ok(out), timing(false, true, 0, false, t0));
+                return (CellOutcome::Ok(out), timing(false, true, false, t0));
             }
         }
     }
@@ -708,47 +570,20 @@ fn run_one<C: SweepCell>(
                 if let Some(dir) = ctx.journal {
                     write_journal_record(dir, index, &cell.name(), &key, &cached);
                 }
-                return (CellOutcome::Ok(out), timing(true, false, 0, false, t0));
+                return (CellOutcome::Ok(out), timing(true, false, false, t0));
             }
         }
     }
 
-    // 3. Execute, with bounded retries behind the fault boundary.
-    let mut attempts = 0u32;
-    let outcome = loop {
-        attempts += 1;
-        let exhausted = attempts > ctx.fault.retries;
-        match attempt_run(cell, ctx.fault.cell_timeout) {
-            Attempt::Finished(out) => match cell.failure(&out) {
-                None => break CellOutcome::Ok(out),
-                Some(message) if exhausted => {
-                    break CellOutcome::Err {
-                        out,
-                        message,
-                        attempts,
-                    }
-                }
-                Some(_) => {}
-            },
-            Attempt::Panicked(message) => {
-                if exhausted {
-                    break CellOutcome::Panicked { message, attempts };
-                }
-            }
-            Attempt::TimedOut(limit_millis) => {
-                if exhausted {
-                    break CellOutcome::DeadlineExceeded {
-                        limit_millis,
-                        attempts,
-                    };
-                }
-            }
-        }
-        std::thread::sleep(Duration::from_millis(retry_backoff_millis(
-            ctx.fault.retry_seed,
-            fp,
-            attempts,
-        )));
+    // 3. Execute once, on this worker, behind the fault boundary.
+    let outcome = match catch_unwind(AssertUnwindSafe(|| cell.run())) {
+        Ok(out) => match cell.failure(&out) {
+            None => CellOutcome::Ok(out),
+            Some(message) => CellOutcome::Err { out, message },
+        },
+        Err(payload) => CellOutcome::Panicked {
+            message: panic_message(payload.as_ref()),
+        },
     };
 
     // 4. Persist successful outcomes: cache (by fingerprint) and
@@ -767,7 +602,7 @@ fn run_one<C: SweepCell>(
         }
     }
     let failed = !outcome.is_ok();
-    (outcome, timing(false, false, attempts, failed, t0))
+    (outcome, timing(false, false, failed, t0))
 }
 
 // ---------------------------------------------------------------------
@@ -964,25 +799,21 @@ impl SweepCell for RecoveryCell {
 }
 
 /// Flattens one engine outcome of a `Result`-valued cell into the
-/// harness's single error channel: engine-level failures (panics,
-/// deadlines) become typed [`HarnessError`]s alongside the simulation's
-/// own.
-fn flatten_outcome<T>(
+/// harness's single error channel: a panicking cell becomes a typed
+/// [`HarnessError`] alongside the simulation's own.
+pub(crate) fn flatten_outcome<T>(
     cell: String,
     outcome: CellOutcome<Result<T, HarnessError>>,
 ) -> Result<T, HarnessError> {
     match outcome {
         CellOutcome::Ok(r) | CellOutcome::Err { out: r, .. } => r,
-        CellOutcome::Panicked { message, .. } => Err(HarnessError::Panicked { cell, message }),
-        CellOutcome::DeadlineExceeded { limit_millis, .. } => {
-            Err(HarnessError::Deadline { cell, limit_millis })
-        }
+        CellOutcome::Panicked { message } => Err(HarnessError::Panicked { cell, message }),
     }
 }
 
 /// Sweeps crash-free [`RunSpec`] cells; the common case for figure
-/// binaries. Engine-level failures surface as [`HarnessError::Panicked`]
-/// / [`HarnessError::Deadline`] rows.
+/// binaries. A panicking cell surfaces as a [`HarnessError::Panicked`]
+/// row.
 pub fn run_specs(
     opts: &SweepOpts,
     specs: &[RunSpec],
@@ -1011,7 +842,9 @@ pub fn run_recovery_cells(
     (results, summary)
 }
 
-fn collect_strict<T>(
+/// Splits flattened results into their outputs, or the aggregated list
+/// of **every** failing cell, named by `names` in cell order.
+pub(crate) fn collect_strict<T>(
     names: impl Iterator<Item = String>,
     results: Vec<Result<T, HarnessError>>,
 ) -> Result<Vec<T>, SweepFailures> {
@@ -1140,23 +973,66 @@ mod tests {
         assert!(summary.summary_line().contains("0 cells"));
     }
 
+    /// Borrows two caller-owned counters: `run` calls in progress and
+    /// `run` calls started. Odd cells panic mid-run.
+    struct LiveCell<'a> {
+        id: u64,
+        live: &'a AtomicUsize,
+        started: &'a AtomicUsize,
+    }
+
+    /// Decrements the live counter on return and on unwind alike.
+    struct Leave<'a>(&'a AtomicUsize);
+
+    impl Drop for Leave<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    impl SweepCell for LiveCell<'_> {
+        type Out = u64;
+        fn name(&self) -> String {
+            format!("live{}", self.id)
+        }
+        fn fingerprint(&self) -> u64 {
+            self.id
+        }
+        fn run(&self) -> u64 {
+            self.started.fetch_add(1, Ordering::SeqCst);
+            self.live.fetch_add(1, Ordering::SeqCst);
+            let _leave = Leave(self.live);
+            assert!(self.id.is_multiple_of(2), "odd cell {}", self.id);
+            self.id
+        }
+    }
+
     #[test]
-    fn backoff_is_pure_and_bounded() {
-        for seed in [0u64, 42, 0xdead_beef] {
-            for fp in [1u64, u64::MAX, 0x1234_5678] {
-                for attempt in 1..=12u32 {
-                    let a = retry_backoff_millis(seed, fp, attempt);
-                    let b = retry_backoff_millis(seed, fp, attempt);
-                    assert_eq!(a, b, "schedule must be pure");
-                    assert!(a <= 4096, "backoff capped at 4096 ms, got {a}");
-                    assert!(a >= 10, "backoff at least the 10 ms base, got {a}");
+    fn no_cell_outlives_its_sweep() {
+        for jobs in [1, 4] {
+            let live = AtomicUsize::new(0);
+            let started = AtomicUsize::new(0);
+            let cells: Vec<LiveCell<'_>> = (0..12)
+                .map(|id| LiveCell {
+                    id,
+                    live: &live,
+                    started: &started,
+                })
+                .collect();
+            let (outs, summary) = sweep(&opts(jobs), &cells);
+            assert_eq!(live.load(Ordering::SeqCst), 0, "jobs={jobs}");
+            assert_eq!(started.load(Ordering::SeqCst), 12, "each cell runs once");
+            assert_eq!(summary.failed(), 6);
+            for (id, out) in (0..).zip(&outs) {
+                match out {
+                    CellOutcome::Ok(v) => assert_eq!(*v, id),
+                    CellOutcome::Panicked { message } => {
+                        assert_eq!(*message, format!("odd cell {id}"));
+                    }
+                    other => panic!("unexpected outcome {other:?}"),
                 }
             }
         }
-        // Distinct seeds must actually steer the jitter somewhere.
-        let any_differs =
-            (1..=8u32).any(|k| retry_backoff_millis(1, 99, k) != retry_backoff_millis(2, 99, k));
-        assert!(any_differs, "seed must influence the schedule");
     }
 
     #[test]

@@ -1,38 +1,27 @@
 //! Torture tests for the sweep engine's fault-tolerance layer:
-//! injected panics, hangs, and transient failures must degrade to
-//! typed [`CellOutcome`]s — never kill the sweep — while succeeding
-//! cells keep producing byte-identical output at any `--jobs`, and the
-//! resume journal recovers a killed sweep without re-running finished
-//! cells.
+//! injected panics and failure-classified outputs must degrade to typed
+//! [`CellOutcome`]s — never kill the sweep — while succeeding cells keep
+//! producing byte-identical output at any `--jobs`, and the resume
+//! journal recovers a killed sweep without re-running finished cells.
 
-use sbrp_harness::sweep::{
-    retry_backoff_millis, sweep, unwrap_outcomes, CellOutcome, SweepCell, SweepOpts,
-};
+use sbrp_harness::sweep::{sweep, unwrap_outcomes, CellOutcome, SweepCell, SweepOpts};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// What a torture cell does when executed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Mode {
     /// Return `id * 10` successfully.
     Ok,
-    /// Panic on every attempt.
-    PanicAlways,
-    /// Panic on the first `n` attempts, then succeed.
-    PanicFirst(u32),
-    /// Return a failure-classified output on the first `n` attempts.
-    ErrFirst(u32),
-    /// Sleep far past any test deadline (bounded so an engine bug can't
-    /// wedge the test binary forever).
-    Hang,
+    /// Panic.
+    Panic,
+    /// Return a failure-classified output.
+    Err,
 }
 
-/// A fault-injection cell. `runs` counts executions across attempts and
-/// clones (the deadline watchdog runs a clone), shared via `Arc` so
-/// every copy reports into the same counter.
-#[derive(Clone)]
+/// A fault-injection cell. `runs` counts its executions; the `Arc` lets
+/// a test keep the counter after handing the cell to a sweep.
 struct TortureCell {
     id: u64,
     mode: Mode,
@@ -64,20 +53,11 @@ impl SweepCell for TortureCell {
     }
 
     fn run(&self) -> Self::Out {
-        let attempt = self.runs.fetch_add(1, Ordering::SeqCst) + 1;
+        self.runs.fetch_add(1, Ordering::SeqCst);
         match self.mode {
             Mode::Ok => Ok(self.id * 10),
-            Mode::PanicAlways => panic!("injected panic in cell {}", self.id),
-            Mode::PanicFirst(n) if attempt <= n => {
-                panic!("transient panic {attempt} in cell {}", self.id)
-            }
-            Mode::PanicFirst(_) => Ok(self.id * 10),
-            Mode::ErrFirst(n) if attempt <= n => Err(format!("transient error {attempt}")),
-            Mode::ErrFirst(_) => Ok(self.id * 10),
-            Mode::Hang => {
-                std::thread::sleep(Duration::from_secs(60));
-                Ok(self.id * 10)
-            }
+            Mode::Panic => panic!("injected panic in cell {}", self.id),
+            Mode::Err => Err(format!("injected error in cell {}", self.id)),
         }
     }
 
@@ -99,8 +79,7 @@ impl SweepCell for TortureCell {
     }
 }
 
-/// Serial opts with no cache and no journal — fault policy added by
-/// each test as needed.
+/// Opts with no cache and no journal — each test adds what it needs.
 fn opts(jobs: usize) -> SweepOpts {
     SweepOpts {
         jobs,
@@ -141,15 +120,14 @@ fn render(outcomes: &[CellOutcome<Result<u64, String>>]) -> String {
 fn injected_panic_degrades_to_a_typed_outcome_not_a_dead_sweep() {
     let cells = vec![
         TortureCell::new(1, Mode::Ok),
-        TortureCell::new(2, Mode::PanicAlways),
+        TortureCell::new(2, Mode::Panic),
         TortureCell::new(3, Mode::Ok),
     ];
     let (outcomes, summary) = sweep(&opts(2), &cells);
     assert!(matches!(&outcomes[0], CellOutcome::Ok(Ok(10))));
     match &outcomes[1] {
-        CellOutcome::Panicked { message, attempts } => {
+        CellOutcome::Panicked { message } => {
             assert!(message.contains("injected panic in cell 2"), "{message}");
-            assert_eq!(*attempts, 1);
         }
         other => panic!("expected Panicked, got {other:?}"),
     }
@@ -161,88 +139,24 @@ fn injected_panic_degrades_to_a_typed_outcome_not_a_dead_sweep() {
     let err = unwrap_outcomes(&cells, outcomes).unwrap_err();
     assert_eq!(err.failures.len(), 1);
     assert_eq!(err.failures[0].0, "torture-2");
-    assert!(err.failures[0].1.contains("panicked after 1 attempt(s)"));
+    assert!(err.failures[0].1.contains("panicked: injected panic"));
+    // Every cell ran exactly once: the engine never retries.
+    assert!(cells.iter().all(|c| c.runs.load(Ordering::SeqCst) == 1));
 }
 
 #[test]
-fn hanging_cell_is_caught_by_the_deadline_watchdog() {
-    let cells = vec![
-        TortureCell::new(1, Mode::Ok),
-        TortureCell::new(2, Mode::Hang),
-    ];
-    let mut o = opts(1);
-    o.fault.cell_timeout = Some(Duration::from_millis(100));
-    let (outcomes, _) = sweep(&o, &cells);
-    assert!(matches!(&outcomes[0], CellOutcome::Ok(Ok(10))));
-    match &outcomes[1] {
-        CellOutcome::DeadlineExceeded {
-            limit_millis,
-            attempts,
-        } => {
-            assert_eq!(*limit_millis, 100);
-            assert_eq!(*attempts, 1);
-        }
-        other => panic!("expected DeadlineExceeded, got {other:?}"),
-    }
-}
-
-#[test]
-fn retries_recover_transient_failures_and_count_attempts() {
-    // Panic twice then succeed: retries=2 means 3 attempts, success.
-    let flaky = TortureCell::new(7, Mode::PanicFirst(2));
-    let runs = flaky.runs.clone();
-    let mut o = opts(1);
-    o.fault.retries = 2;
-    let (outcomes, _) = sweep(&o, &[flaky]);
-    assert!(matches!(&outcomes[0], CellOutcome::Ok(Ok(70))));
-    assert_eq!(runs.load(Ordering::SeqCst), 3, "2 panics + 1 success");
-
-    // Error-classified outputs retry the same way.
-    let flaky = TortureCell::new(8, Mode::ErrFirst(1));
-    let (outcomes, _) = sweep(&o, &[flaky]);
-    assert!(matches!(&outcomes[0], CellOutcome::Ok(Ok(80))));
-
-    // An insufficient budget resolves to Err with the attempt count.
-    let stubborn = TortureCell::new(9, Mode::ErrFirst(10));
-    let (outcomes, _) = sweep(&o, &[stubborn]);
+fn failure_classified_output_keeps_its_typed_value() {
+    let cells = vec![TortureCell::new(9, Mode::Err)];
+    let (outcomes, summary) = sweep(&opts(1), &cells);
     match &outcomes[0] {
-        CellOutcome::Err {
-            out,
-            message,
-            attempts,
-        } => {
-            assert_eq!(out.as_ref().unwrap_err(), "transient error 3");
-            assert_eq!(message, "transient error 3");
-            assert_eq!(*attempts, 3);
+        CellOutcome::Err { out, message } => {
+            assert_eq!(out.as_ref().unwrap_err(), "injected error in cell 9");
+            assert_eq!(message, "injected error in cell 9");
         }
         other => panic!("expected Err, got {other:?}"),
     }
-}
-
-#[test]
-fn backoff_schedule_is_a_pure_function_of_seed_fingerprint_attempt() {
-    // Purity: same inputs, same schedule, across arbitrary call orders.
-    let mut schedule = Vec::new();
-    for attempt in 1..=10 {
-        schedule.push(retry_backoff_millis(42, 0xFEED, attempt));
-    }
-    for attempt in (1..=10u32).rev() {
-        let i = (attempt - 1) as usize;
-        assert_eq!(schedule[i], retry_backoff_millis(42, 0xFEED, attempt));
-    }
-    // Bounded: never above the cap, never below the base.
-    for seed in 0..50u64 {
-        for attempt in 1..=20 {
-            let ms = retry_backoff_millis(seed, seed.wrapping_mul(0x9E37), attempt);
-            assert!(
-                (10..=4096).contains(&ms),
-                "seed {seed} attempt {attempt}: {ms}"
-            );
-        }
-    }
-    // Seed and fingerprint both steer the jitter.
-    assert!((1..=6).any(|a| retry_backoff_millis(1, 5, a) != retry_backoff_millis(2, 5, a)));
-    assert!((1..=6).any(|a| retry_backoff_millis(1, 5, a) != retry_backoff_millis(1, 6, a)));
+    assert_eq!(summary.failed(), 1);
+    assert_eq!(cells[0].runs.load(Ordering::SeqCst), 1);
 }
 
 #[test]
@@ -250,21 +164,20 @@ fn parallel_sweeps_with_injected_failures_stay_byte_identical() {
     let build = || {
         vec![
             TortureCell::new(1, Mode::Ok),
-            TortureCell::new(2, Mode::PanicAlways),
+            TortureCell::new(2, Mode::Panic),
             TortureCell::new(3, Mode::Ok),
-            TortureCell::new(4, Mode::ErrFirst(100)),
+            TortureCell::new(4, Mode::Err),
             TortureCell::new(5, Mode::Ok),
-            TortureCell::new(6, Mode::PanicFirst(1)),
+            TortureCell::new(6, Mode::Panic),
             TortureCell::new(7, Mode::Ok),
-            TortureCell::new(8, Mode::Ok),
+            TortureCell::new(8, Mode::Err),
         ]
     };
-    let mut serial = opts(1);
-    serial.fault.retries = 1;
-    let mut parallel = opts(4);
-    parallel.fault.retries = 1;
+    let serial = opts(1);
+    let parallel = opts(4);
     let (a, _) = sweep(&serial, &build());
     let (b, _) = sweep(&parallel, &build());
+    assert_eq!(a.iter().filter(|o| !o.is_ok()).count(), 4);
     assert_eq!(
         render(&a),
         render(&b),
@@ -295,13 +208,7 @@ fn journal_resume_skips_completed_cells_and_reproduces_clean_output() {
     o.journal_root = Some(journal.0.clone());
 
     // Phase A: cells 2 and 4 fail; the other three succeed and journal.
-    let crashing = [
-        Mode::Ok,
-        Mode::PanicAlways,
-        Mode::Ok,
-        Mode::PanicAlways,
-        Mode::Ok,
-    ];
+    let crashing = [Mode::Ok, Mode::Panic, Mode::Ok, Mode::Panic, Mode::Ok];
     let (outcomes, summary) = sweep(&o, &mk(&crashing));
     assert_eq!(summary.failed(), 2);
     assert_eq!(outcomes.iter().filter(|c| c.is_ok()).count(), 3);

@@ -23,10 +23,9 @@ use crate::spec::{
 use crate::state::State;
 use sbrp_core::fingerprint::Fingerprint;
 use sbrp_core::formal::PmoGraph;
-use sbrp_harness::sweep::{sweep, CellOutcome, FaultPolicy, SweepCell, SweepOpts};
+use sbrp_harness::sweep::{sweep, CellOutcome, SweepCell, SweepOpts};
 use sbrp_isa::BlockIndex;
 use std::collections::{BTreeSet, HashSet, VecDeque};
-use std::sync::Arc;
 
 /// Serial BFS stops (and the parallel phase starts) once the frontier
 /// holds this many unexpanded states. Fixed — NOT derived from the job
@@ -279,19 +278,20 @@ fn explore_from(
 
 /// One frontier state's exhaustive sub-exploration, run on the harness
 /// worker pool. Cells never cache (a run is cheaper than serializing a
-/// state) and carry everything they need by value.
-#[derive(Clone)]
-struct McCell {
+/// state); they own their start state and borrow the rest from
+/// [`explore`].
+struct McCell<'a> {
     idx: usize,
-    program: Program,
-    spec: Spec,
+    program: &'a Program,
+    spec: &'a Spec,
+    bidx: &'a BlockIndex,
     start: State,
     start_fp: u64,
-    base: Arc<HashSet<u64>>,
+    base: &'a HashSet<u64>,
     max_states: u64,
 }
 
-impl SweepCell for McCell {
+impl SweepCell for McCell<'_> {
     type Out = Acc;
 
     fn name(&self) -> String {
@@ -307,13 +307,12 @@ impl SweepCell for McCell {
     }
 
     fn run(&self) -> Acc {
-        let bidx = self.program.kernel.block_index();
         explore_from(
             &self.start,
-            &self.program,
-            &self.spec,
-            &bidx,
-            &self.base,
+            self.program,
+            self.spec,
+            self.bidx,
+            self.base,
             self.max_states,
         )
     }
@@ -365,40 +364,33 @@ pub fn explore(program: &Program, spec: &Spec, opts: &McOpts) -> McReport {
     }
 
     if !queue.is_empty() {
-        let base = Arc::new(visited);
-        let cells: Vec<McCell> = queue
+        let cells: Vec<McCell<'_>> = queue
             .into_iter()
             .enumerate()
             .map(|(idx, (start, _))| {
                 let start_fp = start.fingerprint(program, &bidx);
                 McCell {
                     idx,
-                    program: program.clone(),
-                    spec: spec.clone(),
+                    program,
+                    spec,
+                    bidx: &bidx,
                     start,
                     start_fp,
-                    base: Arc::clone(&base),
+                    base: &visited,
                     max_states: opts.max_states,
                 }
             })
             .collect();
         let sweep_opts = SweepOpts {
             jobs: opts.jobs,
-            cache_dir: None,
-            progress: false,
-            fault: FaultPolicy::default(),
-            journal_root: None,
-            resume: false,
+            ..SweepOpts::serial()
         };
         let (outcomes, _) = sweep(&sweep_opts, &cells);
         for (i, outcome) in outcomes.into_iter().enumerate() {
             match outcome {
                 CellOutcome::Ok(cell_acc) => acc.merge(&cell_acc),
-                CellOutcome::Err { message, .. } | CellOutcome::Panicked { message, .. } => {
+                CellOutcome::Err { message, .. } | CellOutcome::Panicked { message } => {
                     panic!("mc cell {i} did not complete: {message}")
-                }
-                CellOutcome::DeadlineExceeded { limit_millis, .. } => {
-                    panic!("mc cell {i} exceeded its {limit_millis} ms deadline")
                 }
             }
         }

@@ -2,6 +2,7 @@
 //! whole stack from kernel construction to formal checking.
 
 use sbrp::core::ModelKind;
+use sbrp::harness::sweep::{run_specs, SweepOpts};
 use sbrp::harness::{geomean, run_recovery, run_workload, Fig6Bar, RunSpec};
 use sbrp::mc::litmus;
 use sbrp::sim::config::SystemDesign;
@@ -98,6 +99,37 @@ fn sbrp_reports_buffer_activity() {
     .expect("cell runs");
     assert_eq!(epoch.stats.pb.stores, 0, "no PB under the epoch baseline");
     assert!(epoch.stats.epoch_rounds > 0);
+}
+
+/// The sweep engine behind every figure binary: two small cells give the
+/// same cycles and stats serially and on two workers.
+#[test]
+fn sweep_smoke_is_jobs_independent() {
+    let specs = [ModelKind::Epoch, ModelKind::Sbrp].map(|model| RunSpec {
+        workload: WorkloadKind::Gpkvs,
+        model,
+        scale: 256,
+        small_gpu: true,
+        ..RunSpec::default()
+    });
+    let run = |jobs| {
+        let (results, summary) = run_specs(
+            &SweepOpts {
+                jobs,
+                ..SweepOpts::serial()
+            },
+            &specs,
+        );
+        assert_eq!(summary.jobs, jobs);
+        results
+            .into_iter()
+            .map(|r| {
+                let out = r.expect("cell runs");
+                (out.cycles, out.stats.to_json())
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(run(1), run(2));
 }
 
 /// The geometric-mean helper used by every figure binary.
